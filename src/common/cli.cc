@@ -22,48 +22,50 @@ CliParser::CliParser(std::string program_summary)
     addFlag("help", false, "show this help text and exit");
 }
 
+CliParser::Flag &
+CliParser::registerFlag(const std::string &name, FlagType type,
+                        const std::string &help, std::string default_text)
+{
+    Flag &flag = _flags[name] = Flag{};
+    flag.type = type;
+    flag.help = help;
+    flag.defaultText = std::move(default_text);
+    return flag;
+}
+
 void
 CliParser::addFlag(const std::string &name, bool default_value,
                    const std::string &help)
 {
-    Flag flag;
-    flag.type = FlagType::Bool;
-    flag.help = help;
-    flag.boolValue = default_value;
-    _flags[name] = std::move(flag);
+    registerFlag(name, FlagType::Bool, help,
+                 default_value ? "true" : "false")
+        .boolValue = default_value;
 }
 
 void
 CliParser::addFlag(const std::string &name, std::int64_t default_value,
                    const std::string &help)
 {
-    Flag flag;
-    flag.type = FlagType::Int;
-    flag.help = help;
-    flag.intValue = default_value;
-    _flags[name] = std::move(flag);
+    registerFlag(name, FlagType::Int, help, std::to_string(default_value))
+        .intValue = default_value;
 }
 
 void
 CliParser::addFlag(const std::string &name, double default_value,
                    const std::string &help)
 {
-    Flag flag;
-    flag.type = FlagType::Double;
-    flag.help = help;
-    flag.doubleValue = default_value;
-    _flags[name] = std::move(flag);
+    std::ostringstream text;
+    text << default_value;
+    registerFlag(name, FlagType::Double, help, text.str()).doubleValue =
+        default_value;
 }
 
 void
 CliParser::addFlag(const std::string &name, const std::string &default_value,
                    const std::string &help)
 {
-    Flag flag;
-    flag.type = FlagType::String;
-    flag.help = help;
-    flag.stringValue = default_value;
-    _flags[name] = std::move(flag);
+    registerFlag(name, FlagType::String, help, "'" + default_value + "'")
+        .stringValue = default_value;
 }
 
 void
@@ -242,24 +244,15 @@ CliParser::usage() const
 {
     std::ostringstream os;
     os << _summary << "\n\nusage: " << _programName << " [flags]\n\nflags:\n";
+    // Indexed by FlagType.
+    static const char *const kTypeNames[] = {"bool", "int", "double",
+                                             "string"};
     for (const auto &[name, flag] : _flags) {
-        os << "  --" << name;
-        switch (flag.type) {
-          case FlagType::Bool:
-            os << " (bool, default "
-               << (flag.boolValue ? "true" : "false") << ")";
-            break;
-          case FlagType::Int:
-            os << " (int, default " << flag.intValue << ")";
-            break;
-          case FlagType::Double:
-            os << " (double, default " << flag.doubleValue << ")";
-            break;
-          case FlagType::String:
-            os << " (string, default '" << flag.stringValue << "')";
-            break;
-        }
-        os << "\n      " << flag.help << "\n";
+        // The registered default, not the value parse() left behind:
+        // `--reps=3 --help` still documents the real default.
+        os << "  --" << name << " ("
+           << kTypeNames[static_cast<int>(flag.type)] << ", default "
+           << flag.defaultText << ")\n      " << flag.help << "\n";
     }
     return os.str();
 }

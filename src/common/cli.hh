@@ -92,6 +92,8 @@ class CliParser
         std::int64_t intValue = 0;
         double doubleValue = 0.0;
         std::string stringValue;
+        /** The registered default as usage() renders it. */
+        std::string defaultText;
     };
 
     struct Constraint
@@ -101,6 +103,8 @@ class CliParser
         std::int64_t minInt = 0; ///< for int flags: value must be >= this
     };
 
+    Flag &registerFlag(const std::string &name, FlagType type,
+                       const std::string &help, std::string default_text);
     const Flag &lookup(const std::string &name, FlagType type) const;
     void setFromString(Flag &flag, const std::string &name,
                        const std::string &text);

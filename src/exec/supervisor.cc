@@ -1,5 +1,6 @@
 #include "supervisor.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -9,17 +10,15 @@
 #include <sstream>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
-
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
+#include "exec/child_process.hh"
 
 namespace mc {
 namespace exec {
@@ -28,25 +27,51 @@ namespace {
 
 constexpr const char *kManifestFormat = "mcchar suite manifest v1";
 constexpr const char *kManifestFile = "manifest.json";
-/** Set from signal handlers; polled by the supervision loops. */
+/** Set from signal handlers; checked between benches and attempts. */
 volatile std::sig_atomic_t g_shutdown_requested = 0;
+/** Write end of the shutdown self-pipe (-1 until shutdownFd() runs). */
+std::atomic<int> g_shutdown_write_fd{-1};
 
-double
-monotonicSeconds()
+/**
+ * Read end of the shutdown self-pipe, created on first use; -1 when
+ * pipe() fails. requestShutdown() writes one byte and nothing ever
+ * reads it, so once requested the fd stays readable and wakes every
+ * later supervision wait and backoff.
+ */
+int
+shutdownFd()
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    static const int read_fd = [] {
+        int fds[2];
+        if (::pipe(fds) != 0)
+            return -1;
+        for (int fd : fds) {
+            ::fcntl(fd, F_SETFL, O_NONBLOCK);
+            ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+        }
+        g_shutdown_write_fd.store(fds[1]);
+        if (g_shutdown_requested)
+            Supervisor::requestShutdown(); // a request that beat the pipe
+        return fds[0];
+    }();
+    return read_fd;
 }
 
-/** Sleep ~@p seconds in small chunks, returning early on shutdown. */
+/** Sleep @p seconds, returning early once a shutdown is requested. */
 void
 interruptibleSleep(double seconds)
 {
-    const double end = monotonicSeconds() + seconds;
-    while (!g_shutdown_requested && monotonicSeconds() < end) {
-        struct timespec ts{0, 10 * 1000 * 1000}; // 10 ms
-        ::nanosleep(&ts, nullptr);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point end =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(seconds));
+    pollfd wake{shutdownFd(), POLLIN, 0};
+    while (!g_shutdown_requested) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            end - Clock::now());
+        if (left.count() <= 0)
+            return;
+        ::poll(&wake, 1, static_cast<int>(left.count()));
     }
 }
 
@@ -95,14 +120,6 @@ parsePositiveDouble(const std::string &text, double &out)
         return false;
     out = v;
     return true;
-}
-
-/** Kill @p pid's whole process group, falling back to the pid alone. */
-void
-killGroup(pid_t pid, int signo)
-{
-    if (::kill(-pid, signo) != 0)
-        ::kill(pid, signo);
 }
 
 /** Read a whole file; empty string when unreadable (logs are best-effort). */
@@ -350,6 +367,14 @@ void
 Supervisor::requestShutdown()
 {
     g_shutdown_requested = 1;
+    const int fd = g_shutdown_write_fd.load();
+    if (fd >= 0) {
+        // A failed write leaves a full pipe, which is readable anyway.
+        const int saved_errno = errno;
+        const char byte = 1;
+        [[maybe_unused]] const ssize_t written = ::write(fd, &byte, 1);
+        errno = saved_errno;
+    }
 }
 
 Status
@@ -426,20 +451,10 @@ Supervisor::runAttempt(const BenchSpec &bench, int attempt_no,
         ::dprintf(err_fd, "[mc_suite] --- attempt %d ---\n", attempt_no);
     }
 
-    const double started = monotonicSeconds();
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-        // Child. Own process group, so watchdog escalation reaches any
-        // grandchildren the bench spawns; die with the supervisor so
-        // even `kill -9` of the suite leaves no orphans.
-        ::setpgid(0, 0);
-#if defined(__linux__)
-        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-        if (::getppid() == 1)
-            ::_exit(exit_code::ExecFailed); // parent already gone
-#endif
+    ChildProcess child;
+    const Status spawned = child.spawn([&](int) {
         if (::chdir(_options.runDir.c_str()) != 0)
-            ::_exit(exit_code::ExecFailed);
+            return exit_code::ExecFailed;
         ::dup2(out_fd, STDOUT_FILENO);
         ::dup2(err_fd, STDERR_FILENO);
         ::close(out_fd);
@@ -453,55 +468,25 @@ Supervisor::runAttempt(const BenchSpec &bench, int attempt_no,
         ::execvp(argv[0], argv.data());
         std::fprintf(stderr, "mc_suite: exec '%s' failed: %s\n", argv[0],
                      std::strerror(errno));
-        ::_exit(exit_code::ExecFailed);
-    }
+        return exit_code::ExecFailed;
+    });
     ::close(out_fd);
     ::close(err_fd);
-
-    if (pid < 0) {
+    if (!spawned.isOk()) {
         attempt.code = ErrorCode::ResourceExhausted;
         return attempt;
     }
-    // Also set the group from the parent: whichever side wins the race
-    // the group exists before anyone signals it.
-    ::setpgid(pid, pid);
 
-    // The watchdog wait loop: poll for exit, enforce the wall-clock
-    // deadline, honor shutdown requests. Polling (10 ms) keeps this
-    // simple and signal-handler-free; supervision latency is invisible
-    // next to bench runtimes.
-    int wait_status = 0;
-    bool reaped = false;
-    bool term_sent = false;
-    bool kill_sent = false;
-    double term_sent_at = 0.0;
-    while (!reaped) {
-        const pid_t r = ::waitpid(pid, &wait_status, WNOHANG);
-        if (r == pid) {
-            reaped = true;
-            break;
-        }
-        const double now = monotonicSeconds();
-        if (g_shutdown_requested && !kill_sent) {
-            // Suite interrupted: take the whole child group down hard.
-            killGroup(pid, SIGKILL);
-            kill_sent = true;
-        } else if (deadline_sec > 0.0 &&
-                   now - started > deadline_sec && !term_sent) {
-            attempt.watchdogFired = true;
-            killGroup(pid, SIGTERM);
-            term_sent = true;
-            term_sent_at = now;
-        } else if (term_sent && !kill_sent &&
-                   now - term_sent_at > _options.killGraceSec) {
-            // The child ignored SIGTERM past the grace period.
-            killGroup(pid, SIGKILL);
-            kill_sent = true;
-        }
-        struct timespec ts{0, 10 * 1000 * 1000}; // 10 ms
-        ::nanosleep(&ts, nullptr);
-    }
-    attempt.durationSec = monotonicSeconds() - started;
+    // The watchdog wait: the child's exit, the deadline steps and a
+    // shutdown request (SIGKILL to the whole group) each wake it.
+    Watchdog watchdog;
+    watchdog.deadlineSec = deadline_sec;
+    watchdog.graceSec = _options.killGraceSec;
+    watchdog.shutdownFd = shutdownFd();
+    const ChildExit ended = child.wait(watchdog);
+    const int wait_status = ended.waitStatus;
+    attempt.watchdogFired = ended.watchdogFired;
+    attempt.durationSec = ended.durationSec;
 
     if (g_shutdown_requested && !attempt.watchdogFired) {
         attempt.code = ErrorCode::Unavailable;
@@ -573,6 +558,8 @@ Supervisor::run()
     // Best-effort: the directory may already exist (resume) or be
     // nested (then the caller must have created the parents).
     ::mkdir(_options.runDir.c_str(), 0755);
+    if (shutdownFd() < 0)
+        return Status::resourceExhausted("cannot allocate a shutdown pipe");
 
     std::vector<BenchOutcome> previous;
     if (_options.resume) {

@@ -237,8 +237,10 @@ class Supervisor
 
     /**
      * Async-signal-safe shutdown request (call from SIGINT/SIGTERM
-     * handlers): the supervisor kills the running child's process
-     * group, records the interruption, writes the manifest, and stops.
+     * handlers): sets a flag and writes a self-pipe that wakes the
+     * running bench's wait or a restart backoff at once. The
+     * supervisor kills the running child's process group, records the
+     * interruption, writes the manifest, and stops.
      */
     static void requestShutdown();
 

@@ -189,15 +189,32 @@ Server::acceptLoop()
             return;
         }
         auto conn = std::make_shared<Connection>(fd);
-        std::lock_guard<std::mutex> lock(_connMutex);
-        _connections.push_back(conn);
-        _readers.emplace_back(
-            [this, conn]() { connectionLoop(conn); });
+        std::vector<std::thread> finished;
+        {
+            std::lock_guard<std::mutex> lock(_connMutex);
+            _connections.push_back(conn);
+            const std::uint64_t id = _nextReaderId++;
+            _readers.emplace(id, std::thread([this, conn, id]() {
+                                 connectionLoop(conn, id);
+                             }));
+            // Reap the readers of closed connections now that the new
+            // one is already being served: each keeps its stack mapped
+            // until joined.
+            for (const std::uint64_t done : _finishedReaders) {
+                auto it = _readers.find(done);
+                finished.push_back(std::move(it->second));
+                _readers.erase(it);
+            }
+            _finishedReaders.clear();
+        }
+        for (std::thread &reader : finished)
+            reader.join();
     }
 }
 
 void
-Server::connectionLoop(std::shared_ptr<Connection> conn)
+Server::connectionLoop(std::shared_ptr<Connection> conn,
+                       std::uint64_t reader_id)
 {
     for (;;) {
         auto frame = readFrame(conn->fd);
@@ -220,6 +237,7 @@ Server::connectionLoop(std::shared_ptr<Connection> conn)
             break;
         }
     }
+    _finishedReaders.push_back(reader_id);
 }
 
 void
@@ -414,14 +432,14 @@ Server::stop()
         for (const auto &conn : _connections)
             ::shutdown(conn->fd, SHUT_RDWR);
     }
-    std::vector<std::thread> readers;
+    std::map<std::uint64_t, std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(_connMutex);
         readers.swap(_readers);
+        _finishedReaders.clear();
     }
-    for (std::thread &reader : readers)
-        if (reader.joinable())
-            reader.join();
+    for (auto &[id, reader] : readers)
+        reader.join();
 
     if (!_options.socketPath.empty())
         ::unlink(_options.socketPath.c_str());

@@ -118,7 +118,8 @@ class Server
     struct Flight;
 
     void acceptLoop();
-    void connectionLoop(std::shared_ptr<Connection> conn);
+    void connectionLoop(std::shared_ptr<Connection> conn,
+                        std::uint64_t reader_id);
     void handleFrame(const std::shared_ptr<Connection> &conn,
                      const std::string &frame);
     void executeFlight(const std::string &key, const ServeRequest &request);
@@ -140,7 +141,13 @@ class Server
     std::thread _acceptor;
     std::mutex _connMutex;
     std::vector<std::shared_ptr<Connection>> _connections;
-    std::vector<std::thread> _readers;
+    /** Reader threads by id. A reader's last act (under _connMutex) is
+     *  to list its id in _finishedReaders; the acceptor joins those
+     *  after starting the next connection's reader, and stop() joins
+     *  the rest. */
+    std::map<std::uint64_t, std::thread> _readers;
+    std::vector<std::uint64_t> _finishedReaders;
+    std::uint64_t _nextReaderId = 0;
 
     std::mutex _flightMutex;
     std::map<std::string, Flight> _flights;

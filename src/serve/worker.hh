@@ -4,19 +4,18 @@
  *
  * A request that can take a process down — chaos modes by design,
  * fault-injected requests by assumption — must not take the *daemon*
- * down. runInWorker executes the request's payload in a forked child
- * under the supervisor pattern of src/exec/supervisor.cc (own process
- * group, PDEATHSIG, 10 ms watchdog poll, SIGTERM -> SIGKILL
- * escalation) and maps the child's fate into the ErrorCode taxonomy:
- * the daemon's degradation ladder (docs/SERVING.md) is exactly this
- * classification.
+ * down. runInWorker executes the request's payload in a child forked
+ * by exec::ChildProcess, the one supervisor behind mc_suite too (own
+ * process group, PDEATHSIG, a wait woken by the child's exit through a
+ * pidfd, SIGTERM -> SIGKILL escalation), and maps the child's fate
+ * into the ErrorCode taxonomy: the daemon's degradation ladder
+ * (docs/SERVING.md) is exactly this classification.
  *
- * The child streams its result back over a pipe using the same
- * length-prefixed frame as the wire protocol, enveloped by
- * okResponse/errorResponse — one framing for sockets and pipes. The
- * parent drains the pipe *inside* the watchdog loop, so a worker
- * writing a large payload can never deadlock against a parent that
- * only reads after reaping.
+ * The child writes its result to an anonymous in-memory file using the
+ * same length-prefixed frame as the wire protocol, enveloped by
+ * okResponse/errorResponse — one framing for sockets and workers. The
+ * file never fills, so a worker writing a large payload never blocks,
+ * and the parent reads it once, after the reap.
  */
 
 #ifndef MC_SERVE_WORKER_HH

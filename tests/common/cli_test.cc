@@ -89,6 +89,27 @@ TEST(CliParser, UsageMentionsFlagsAndHelp)
     EXPECT_NE(usage.find("--help"), std::string::npos);
 }
 
+TEST(CliParser, UsageShowsRegisteredDefaultsNotParsedValues)
+{
+    // `--reps=3 --help` used to document "default 3", and --help
+    // itself "(bool, default true)".
+    CliParser p = makeParser();
+    const char *argv[] = {"prog", "--iters=3", "--verbose", "--alpha=2.5",
+                          "--combo=hss"};
+    p.parse(5, argv);
+    const std::string usage = p.usage();
+    EXPECT_NE(usage.find("--iters (int, default 100)"), std::string::npos)
+        << usage;
+    EXPECT_NE(usage.find("--verbose (bool, default false)"),
+              std::string::npos);
+    EXPECT_NE(usage.find("--alpha (double, default 0.1)"),
+              std::string::npos);
+    EXPECT_NE(usage.find("--combo (string, default 'sgemm')"),
+              std::string::npos);
+    EXPECT_EQ(usage.find("default 3"), std::string::npos);
+    EXPECT_EQ(usage.find("default true"), std::string::npos);
+}
+
 // Every usage error must exit with the shared Usage code (2) and the
 // one-line "<prog>: error: ..." format the suite supervisor and shell
 // scripts key on.

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blas/gemm.hh"
@@ -150,15 +153,24 @@ TEST(SweepRunner, ParallelGemmSweepIsBitIdenticalToSerial)
 
 TEST(SweepRunner, MapFastCancelSkipsUnstartedPoints)
 {
-    // One worker, 64 points, the very first throws: the remaining 63
-    // are queued behind it and must be cancelled, not executed.
+    // Two workers, 64 points, the very first throws: the points still
+    // queued behind it must be cancelled, not executed. Every other
+    // point waits until point 0 is about to throw and then lingers a
+    // few ms, so the cancel flag is set before the second worker can
+    // start another point, however the scheduler runs the threads.
     SweepRunner runner("cancel", 2);
     std::atomic<int> executed{0};
+    std::latch point0_throwing(1);
     EXPECT_THROW(runner.map(64,
                             [&](std::size_t i) -> int {
                                 ++executed;
-                                if (i == 0)
+                                if (i == 0) {
+                                    point0_throwing.count_down();
                                     throw std::runtime_error("boom");
+                                }
+                                point0_throwing.wait();
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(10));
                                 return 0;
                             }),
                  std::runtime_error);

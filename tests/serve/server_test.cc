@@ -5,9 +5,13 @@
  * graceful shutdown. The in-process twin of cmake/ServeChaos.cmake.
  */
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -89,6 +93,31 @@ class ClientFd
   private:
     int _fd = -1;
 };
+
+/** A numeric field of /proc/self/status, e.g. "Threads". */
+long
+procStatusField(const std::string &name)
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(name + ":", 0) == 0)
+            return std::strtol(line.c_str() + name.size() + 1, nullptr, 10);
+    }
+    return -1;
+}
+
+/** The number of memory mappings in /proc/self/maps. */
+long
+mappingCount()
+{
+    std::ifstream in("/proc/self/maps");
+    std::string line;
+    long count = 0;
+    while (std::getline(in, line))
+        ++count;
+    return count;
+}
 
 std::unique_ptr<Server>
 startServer(const std::string &path, ServerOptions options = {})
@@ -306,6 +335,48 @@ TEST(ServeServer, ShutdownRequestDrainsGracefully)
 
     server->stop();
     EXPECT_FALSE(ClientFd(path).ok()) << "socket must be gone";
+}
+
+TEST(ServeServer, ReapsReaderThreadsOfClosedConnections)
+{
+    // Every connection gets a reader thread, and a reader that is never
+    // joined keeps its stack mapped after it exits. Hundreds of
+    // one-shot connections must leave the daemon with its acceptor,
+    // its slots and a reader or two, and about the mappings a handful
+    // of connections needs.
+    const std::string path = socketPathFor("reap");
+    ServerOptions options;
+    options.admission.slots = 2;
+    auto server = startServer(path, options);
+    auto ping_once = [&path]() {
+        ClientFd client(path);
+        ASSERT_TRUE(client.ok());
+        client.send(R"({"kind":"ping","id":"p"})");
+        EXPECT_EQ(client.read().code, ErrorCode::Ok);
+    };
+    for (int i = 0; i < 10; ++i)
+        ping_once();
+    const long maps_before = mappingCount();
+    for (int i = 0; i < 300; ++i)
+        ping_once();
+
+    // Main thread, acceptor, slots, and the small constant: the last
+    // connections' readers and a sanitizer's helper thread. A reader
+    // exits once it reads its connection's EOF, which on a loaded host
+    // can lag the client by a few connections; give them time to go.
+    const long max_threads =
+        2 + static_cast<long>(options.admission.slots) + 4;
+    for (int i = 0; i < 500 && procStatusField("Threads") > max_threads;
+         ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_LE(procStatusField("Threads"), max_threads);
+    // An exited thread leaves the Threads count, but until it is joined
+    // its stack and guard page stay mapped: 300 leaked readers add about
+    // 600 mappings. (VmSize is no measure here: each malloc arena that
+    // concurrency creates reserves 64 MiB.)
+    EXPECT_LT(mappingCount() - maps_before, 150);
+    server->stop();
 }
 
 TEST(ServeServer, WritesReadyFileOnceListening)
