@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "blas/pack_cache.hh"
 #include "blas/scratch_arena.hh"
@@ -14,6 +15,9 @@ namespace mc {
 namespace blas {
 
 namespace {
+
+/** Output rows per task of scalarQuantizedGemm's row split. */
+constexpr std::size_t kRefRowsPerChunk = 8;
 
 void
 validateQuantShapes(std::size_t m, std::size_t n, std::size_t k,
@@ -247,23 +251,34 @@ void
 scalarQuantizedGemm(double alpha, const Matrix<std::int8_t> &a,
                     const Matrix<std::int8_t> &b, double beta,
                     const Matrix<std::int8_t> &c, Matrix<std::int8_t> &d,
-                    const QuantParams &qp)
+                    const QuantParams &qp, int threads)
 {
     validateQuantProblem(a, b, c, d, qp);
     const std::size_t m = a.rows();
     const std::size_t k = a.cols();
     const std::size_t n = b.cols();
     const double eff = effectiveQuantScale(alpha, qp);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            std::int32_t acc = 0;
+    const std::int32_t za = qp.zeroA;
+    const std::int32_t zb = qp.zeroB;
+    // i-k-j: each A element scales one contiguous B row into one int32
+    // row of accumulators. Integer sums are exact, so this order and
+    // any row split give the i-j-k loop's bytes.
+    exec::parallelChunks(m, kRefRowsPerChunk, threads,
+                         [&](std::size_t i0, std::size_t i1) {
+        std::vector<std::int32_t> acc(n);
+        for (std::size_t i = i0; i < i1; ++i) {
+            std::fill(acc.begin(), acc.end(), 0);
             for (std::size_t kk = 0; kk < k; ++kk) {
-                acc += (static_cast<std::int32_t>(a(i, kk)) - qp.zeroA) *
-                       (static_cast<std::int32_t>(b(kk, j)) - qp.zeroB);
+                const std::int32_t av =
+                    static_cast<std::int32_t>(a(i, kk)) - za;
+                const std::int8_t *brow = b.data() + kk * n;
+                for (std::size_t j = 0; j < n; ++j)
+                    acc[j] += av * (static_cast<std::int32_t>(brow[j]) - zb);
             }
-            d(i, j) = requantizeI8(acc, eff, beta, c(i, j), qp);
+            for (std::size_t j = 0; j < n; ++j)
+                d(i, j) = requantizeI8(acc[j], eff, beta, c(i, j), qp);
         }
-    }
+    });
 }
 
 void

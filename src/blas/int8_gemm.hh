@@ -75,12 +75,19 @@ requantizeI8(std::int32_t acc, double eff_scale, double beta,
     return static_cast<std::int8_t>(shifted);
 }
 
-/** The retained scalar reference: the triple loop, zero points
- *  subtracted in the inner product. Ground truth for every test. */
+/**
+ * The retained scalar reference: a plain i-k-j loop over one int32 row
+ * of accumulators, zero points subtracted in the inner product, with
+ * output rows split across @p threads workers (exec::parallelChunks
+ * semantics; < 1 = hardware concurrency). No packing, no zero-point
+ * correction, no intrinsics: integer sums are exact, so the loop order
+ * and the row split never change a byte. Ground truth for every test.
+ */
 void scalarQuantizedGemm(double alpha, const Matrix<std::int8_t> &a,
                          const Matrix<std::int8_t> &b, double beta,
                          const Matrix<std::int8_t> &c,
-                         Matrix<std::int8_t> &d, const QuantParams &qp);
+                         Matrix<std::int8_t> &d, const QuantParams &qp,
+                         int threads = 1);
 
 /**
  * The blocked/packed fast path: B pre-packed into the dispatched

@@ -1,9 +1,10 @@
 /**
  * @file
- * AVX2 tier: 8 f32 / 4 f64 lanes. Compiled -mavx2 with
- * -ffp-contract=off and *without* -mfma (see src/blas/CMakeLists.txt):
- * a contracted mul-add would skip the product rounding and break the
- * bit-exactness contract of simd_vec_kernels.hh.
+ * AVX2 tier: 8 f32 / 4 f64 lanes, and F16C's ymm f16 converts for the
+ * round-each-step chain (the rung's probe requires both). Compiled
+ * -mavx2 -mf16c with -ffp-contract=off and *without* -mfma (see
+ * src/blas/CMakeLists.txt): a contracted mul-add would skip the product
+ * rounding and break the bit-exactness contract of simd_vec_kernels.hh.
  */
 
 #if defined(MC_SIMD_HAVE_X86)
@@ -76,6 +77,21 @@ struct Avx2Ops
         const __m256i ordered = _mm256_permute4x64_epi64(packed, 0x08);
         _mm_storeu_si128(reinterpret_cast<__m128i *>(p),
                          _mm256_castsi256_si128(ordered));
+    }
+
+    // F16C's ymm converts (simd_vec_kernels.hh, roundHalf): the
+    // immediate pins round-to-nearest-even whatever MXCSR says.
+    static __m128i
+    toHalf(VF v)
+    {
+        return _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT |
+                                      _MM_FROUND_NO_EXC);
+    }
+    static VF roundHalf(VF v) { return _mm256_cvtph_ps(toHalf(v)); }
+    static void
+    storeHalf(std::uint16_t *p, VF v)
+    {
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(p), toHalf(v));
     }
 };
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * AVX-512 tier: 16 f32 / 8 f64 lanes, mask-register blends. Compiled
+ * AVX-512 tier: 16 f32 / 8 f64 lanes, mask-register blends, and the
+ * zmm f16 converts for the round-each-step chain. Compiled
  * -mavx512f/bw/vl/dq with -ffp-contract=off and no -mfma (see
  * src/blas/CMakeLists.txt), keeping mul and add as separate roundings
  * — the bit-exactness contract of simd_vec_kernels.hh.
@@ -73,6 +74,21 @@ struct Avx512Ops
         // lossless.
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(p),
                             _mm512_cvtepi32_epi16(h));
+    }
+
+    // AVX-512F's zmm f16 converts (simd_vec_kernels.hh, roundHalf):
+    // the immediate pins round-to-nearest-even whatever MXCSR says.
+    static __m256i
+    toHalf(VF v)
+    {
+        return _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT |
+                                      _MM_FROUND_NO_EXC);
+    }
+    static VF roundHalf(VF v) { return _mm512_cvtph_ps(toHalf(v)); }
+    static void
+    storeHalf(std::uint16_t *p, VF v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), toHalf(v));
     }
 };
 

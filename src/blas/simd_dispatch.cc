@@ -40,7 +40,10 @@ probeCpu()
     // the CPUID bits, so an AVX-capable CPU under an AVX-less kernel
     // correctly reports false.
     f.sse2 = __builtin_cpu_supports("sse2");
-    f.avx2 = __builtin_cpu_supports("avx2");
+    f.f16c = __builtin_cpu_supports("f16c");
+    // The avx2 rung's round-each-step chain uses F16C's ymm converts,
+    // so an AVX2 CPU without F16C clamps to sse2.
+    f.avx2 = __builtin_cpu_supports("avx2") && f.f16c;
     f.avx512 = __builtin_cpu_supports("avx512f") &&
                __builtin_cpu_supports("avx512bw") &&
                __builtin_cpu_supports("avx512vl") &&

@@ -39,6 +39,10 @@ enum class SimdTier
 struct CpuFeatures
 {
     bool sse2 = false;
+    /** F16C (vcvtps2ph/vcvtph2ps on ymm); part of the Avx2 rung's
+     *  requirement, reported on its own like avx512vnni. */
+    bool f16c = false;
+    /** AVX2 together with F16C. */
     bool avx2 = false;
     /** AVX-512 F+BW+VL+DQ (the Skylake-server baseline). */
     bool avx512 = false;

@@ -23,7 +23,10 @@
  *    hardware's RNE convert (the multiply is a pure exponent shift, so
  *    it is exact). NaNs keep the software payload rule
  *    (quiet bit | top 10 fraction bits). tests/fp/simd_convert_test.cc
- *    checks all of this exhaustively against fp::Half.
+ *    checks all of this exhaustively against fp::Half. The avx2 and
+ *    avx512 Ops narrow with the hardware vcvtps2ph instead (explicit
+ *    RNE), which matches fp::Half on every f32 pattern; that test
+ *    pushes all 2^32 of them through each form.
  *  - The f16->f32 widen rebiases normals, maps exp==31 onto the f32
  *    inf/NaN pattern, and renormalizes subnormals as frac * 2^-24
  *    (again an exact multiply). bf16 is a 16-bit shift both ways, with
@@ -141,7 +144,59 @@ struct VecKernels
         return b;
     }
 
+    /**
+     * One step of the round_each_step chain, per lane: acc ->
+     * f32(Half(acc)). A tier whose Ops supplies roundHalf (a hardware
+     * f32->f16->f32 convert pair: AVX-512F zmm, F16C ymm) runs that;
+     * the others run the integer narrow/widen above. The hardware pair
+     * is exact here though its widen is not exact for every half: its
+     * narrow matches Half::fromFloatBits on all 2^32 f32 patterns,
+     * and its widen differs from Half::toFloat only on signaling-NaN
+     * halves, which a narrow never produces (it quiets NaNs).
+     */
+    static VF
+    roundHalf(VF acc)
+    {
+        if constexpr (requires { Ops::roundHalf(acc); })
+            return Ops::roundHalf(acc);
+        else
+            return Ops::castI2F(
+                widenLanesHalf(narrowLanesHalf(Ops::castF2I(acc))));
+    }
+
     // ---- axpy panels ----------------------------------------------
+
+    /** What one f32 k-step does to an accumulator. */
+    enum class StepF32
+    {
+        Add,
+        Sub,
+        AddRoundHalf,
+    };
+
+    template <StepF32 S>
+    static VF
+    stepF32(VF acc, VF p)
+    {
+        if constexpr (S == StepF32::Sub)
+            return Ops::subF(acc, p);
+        else if constexpr (S == StepF32::Add)
+            return Ops::addF(acc, p);
+        else
+            return roundHalf(Ops::addF(acc, p));
+    }
+
+    template <StepF32 S>
+    static float
+    stepF32(float acc, float p)
+    {
+        if constexpr (S == StepF32::Sub)
+            return acc - p;
+        else if constexpr (S == StepF32::Add)
+            return acc + p;
+        else
+            return fp::Half(acc + p).toFloat();
+    }
 
     // The panel loops run j-outer / kk-inner: a group of accumulator
     // vectors is loaded once, consumes the whole k-block from
@@ -149,8 +204,11 @@ struct VecKernels
     // order this removes the per-step accumulator load/store (3 memory
     // ops per mul+add become 1) without touching the bits: element j's
     // accumulator still receives its k-terms one at a time, ascending.
+    // Four independent accumulator vectors are in flight per step, so
+    // a long per-step chain (the f16 round trip above) overlaps across
+    // them instead of serializing on one register.
 
-    template <bool Sub>
+    template <StepF32 S>
     static void
     axpyImplF32(const float *arow, const float *bpanel, std::size_t ldb,
                 std::size_t nk, float *accs, std::size_t nj)
@@ -164,21 +222,13 @@ struct VecKernels
             const float *brow = bpanel + j;
             for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
                 const VF av = Ops::set1F(arow[kk]);
-                const VF p0 = Ops::mulF(av, Ops::loadF(brow));
-                const VF p1 = Ops::mulF(av, Ops::loadF(brow + WF));
-                const VF p2 = Ops::mulF(av, Ops::loadF(brow + 2 * WF));
-                const VF p3 = Ops::mulF(av, Ops::loadF(brow + 3 * WF));
-                if constexpr (Sub) {
-                    acc0 = Ops::subF(acc0, p0);
-                    acc1 = Ops::subF(acc1, p1);
-                    acc2 = Ops::subF(acc2, p2);
-                    acc3 = Ops::subF(acc3, p3);
-                } else {
-                    acc0 = Ops::addF(acc0, p0);
-                    acc1 = Ops::addF(acc1, p1);
-                    acc2 = Ops::addF(acc2, p2);
-                    acc3 = Ops::addF(acc3, p3);
-                }
+                acc0 = stepF32<S>(acc0, Ops::mulF(av, Ops::loadF(brow)));
+                acc1 = stepF32<S>(acc1,
+                                  Ops::mulF(av, Ops::loadF(brow + WF)));
+                acc2 = stepF32<S>(acc2,
+                                  Ops::mulF(av, Ops::loadF(brow + 2 * WF)));
+                acc3 = stepF32<S>(acc3,
+                                  Ops::mulF(av, Ops::loadF(brow + 3 * WF)));
             }
             Ops::storeF(accs + j, acc0);
             Ops::storeF(accs + j + WF, acc1);
@@ -188,22 +238,16 @@ struct VecKernels
         for (; j + WF <= nj; j += WF) {
             VF acc = Ops::loadF(accs + j);
             const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                const VF p = Ops::mulF(Ops::set1F(arow[kk]),
-                                       Ops::loadF(brow));
-                acc = Sub ? Ops::subF(acc, p) : Ops::addF(acc, p);
-            }
+            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb)
+                acc = stepF32<S>(acc, Ops::mulF(Ops::set1F(arow[kk]),
+                                                Ops::loadF(brow)));
             Ops::storeF(accs + j, acc);
         }
         for (; j < nj; ++j) {
             float acc = accs[j];
             const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                if constexpr (Sub)
-                    acc -= arow[kk] * *brow;
-                else
-                    acc += arow[kk] * *brow;
-            }
+            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb)
+                acc = stepF32<S>(acc, arow[kk] * *brow);
             accs[j] = acc;
         }
     }
@@ -270,14 +314,25 @@ struct VecKernels
     axpyF32(const float *arow, const float *bpanel, std::size_t ldb,
             std::size_t nk, float *accs, std::size_t nj)
     {
-        axpyImplF32<false>(arow, bpanel, ldb, nk, accs, nj);
+        axpyImplF32<StepF32::Add>(arow, bpanel, ldb, nk, accs, nj);
     }
 
     static void
     axpySubF32(const float *arow, const float *bpanel, std::size_t ldb,
                std::size_t nk, float *accs, std::size_t nj)
     {
-        axpyImplF32<true>(arow, bpanel, ldb, nk, accs, nj);
+        axpyImplF32<StepF32::Sub>(arow, bpanel, ldb, nk, accs, nj);
+    }
+
+    /** The round_each_step HGEMM chain: one roundHalf per mul-add,
+     *  the f16 value kept in an f32 lane, no packing. */
+    static void
+    axpyRoundHalfF32(const float *arow, const float *bpanel,
+                     std::size_t ldb, std::size_t nk, float *accs,
+                     std::size_t nj)
+    {
+        axpyImplF32<StepF32::AddRoundHalf>(arow, bpanel, ldb, nk, accs,
+                                           nj);
     }
 
     static void
@@ -292,34 +347,6 @@ struct VecKernels
                std::size_t nk, double *accs, std::size_t nj)
     {
         axpyImplF64<true>(arow, bpanel, ldb, nk, accs, nj);
-    }
-
-    /** The round_each_step HGEMM chain: the f16 round-trip stays in
-     *  32-bit lanes, so one narrow+widen per mul-add, no packing. */
-    static void
-    axpyRoundHalfF32(const float *arow, const float *bpanel,
-                     std::size_t ldb, std::size_t nk, float *accs,
-                     std::size_t nj)
-    {
-        std::size_t j = 0;
-        for (; j + WF <= nj; j += WF) {
-            VF acc = Ops::loadF(accs + j);
-            const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                acc = Ops::addF(acc, Ops::mulF(Ops::set1F(arow[kk]),
-                                               Ops::loadF(brow)));
-                acc = Ops::castI2F(
-                    widenLanesHalf(narrowLanesHalf(Ops::castF2I(acc))));
-            }
-            Ops::storeF(accs + j, acc);
-        }
-        for (; j < nj; ++j) {
-            float acc = accs[j];
-            const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb)
-                acc = fp::Half(acc + arow[kk] * *brow).toFloat();
-            accs[j] = acc;
-        }
     }
 
     // ---- batched conversions --------------------------------------
@@ -347,13 +374,20 @@ struct VecKernels
             out[i] = fp::BFloat16::fromBits(in[i]).toFloat();
     }
 
+    /** Batched f32 -> f16 narrowing; a tier with a hardware round trip
+     *  narrows with the same convert (Ops::storeHalf), which is how
+     *  the exhaustive narrowing test reaches the form the chain uses. */
     static void
     narrowHalf(const float *in, std::uint16_t *out, std::size_t n)
     {
         std::size_t i = 0;
-        for (; i + WF <= n; i += WF)
-            Ops::storeU16(out + i, narrowLanesHalf(
-                                       Ops::castF2I(Ops::loadF(in + i))));
+        for (; i + WF <= n; i += WF) {
+            const VF v = Ops::loadF(in + i);
+            if constexpr (requires { Ops::storeHalf(out, v); })
+                Ops::storeHalf(out + i, v);
+            else
+                Ops::storeU16(out + i, narrowLanesHalf(Ops::castF2I(v)));
+        }
         for (; i < n; ++i)
             out[i] = fp::Half(in[i]).bits();
     }

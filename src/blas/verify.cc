@@ -49,6 +49,26 @@ fillScheme(Matrix<T> &m, VerifyScheme scheme, bool identity, Rng &rng)
 }
 
 /**
+ * @p func resolved for (combo, n), then moved to a different explicit
+ * block shape and row split: every block edge halves (1 becomes 2), so
+ * chunk boundaries, panel tails and k-panel splits all move while the
+ * thread count stays. Results are bit-identical under any blocking
+ * (fast_gemm.hh), so a second run under these options checks that
+ * contract with the same work a repeat run would do.
+ */
+FunctionalGemmOptions
+alternateBlocking(const FunctionalGemmOptions &func, GemmCombo combo,
+                  std::size_t n)
+{
+    FunctionalGemmOptions alt = resolveFunctionalOptions(func, combo, n);
+    const auto other = [](int block) { return block > 1 ? block / 2 : 2; };
+    alt.blockM = other(alt.blockM);
+    alt.blockN = other(alt.blockN);
+    alt.blockK = other(alt.blockK);
+    return alt;
+}
+
+/**
  * Run one combo functionally: build operands, execute through the
  * engine-selected path, compare against the reference computation.
  */
@@ -77,9 +97,12 @@ runTyped(const GemmConfig &config, const GemmPlan &plan,
                                             func);
     } else {
         // The SIMD path is the reference computation itself; re-run it
-        // so path selection is still exercised end to end.
-        referenceGemm<TCD, TAB, TAcc>(config.alpha, a, b, config.beta,
-                                      c, d_run, round_each_step, func);
+        // under another blocking and row split, so the check compares
+        // two executions the contract says are bit-identical rather
+        // than one computation with itself.
+        referenceGemm<TCD, TAB, TAcc>(
+            config.alpha, a, b, config.beta, c, d_run, round_each_step,
+            alternateBlocking(func, config.combo, config.n));
     }
 
     VerifyResult result;
@@ -109,16 +132,18 @@ runTyped(const GemmConfig &config, const GemmPlan &plan,
     // The paper's scheme has a closed-form expectation: check it too.
     if (scheme == VerifyScheme::PaperOnesIdentity) {
         const double expect = config.alpha + config.beta;
+        const TCD expect_cd = TCD(expect);
+        const TCD beta_cd = TCD(config.beta);
         for (std::size_t i = 0; i < config.m; ++i) {
             // D = alpha*A*B + beta*C = alpha*(ones x I) + beta*ones;
             // only the leading min(k, n) columns receive the A*B term.
             for (std::size_t j = 0; j < config.n; ++j) {
-                const double want =
-                    (j < config.k) ? expect : config.beta;
-                const TCD want_cd = TCD(want);
+                const bool hit = j < config.k;
                 const double got = static_cast<double>(
                     fp::NumericTraits<TCD>::widen(d_run(i, j)));
-                record(got, want, fp::ulpDistance(d_run(i, j), want_cd),
+                record(got, hit ? expect : config.beta,
+                       fp::ulpDistance(d_run(i, j),
+                                       hit ? expect_cd : beta_cd),
                        i, j);
             }
         }
@@ -173,7 +198,8 @@ runI8(const GemmConfig &config, const GemmPlan &plan, VerifyScheme scheme,
 
     const QuantParams &qp = config.quant;
     Matrix<std::int8_t> d_ref(config.m, config.n);
-    scalarQuantizedGemm(config.alpha, a, b, config.beta, c, d_ref, qp);
+    scalarQuantizedGemm(config.alpha, a, b, config.beta, c, d_ref, qp,
+                        func.threads);
     // The plan's Matrix Core decision only drives the *simulated*
     // execution; host verification always exercises the functional
     // fast path against the scalar reference.
@@ -379,7 +405,8 @@ runI8Batched(const GemmConfig &config, const GemmPlan &plan,
         fill(ce, false);
         std::copy_n(ae.data(), sa, abuf.data() + e * sa);
         std::copy_n(ce.data(), sc, cbuf.data() + e * sc);
-        scalarQuantizedGemm(config.alpha, ae, b, config.beta, ce, de, qp);
+        scalarQuantizedGemm(config.alpha, ae, b, config.beta, ce, de, qp,
+                            func.threads);
         std::copy_n(de.data(), sc, dref.data() + e * sc);
     }
 

@@ -207,6 +207,61 @@ TEST(Int8Gemm, ForceScalarRunsTheReferenceLoops)
     EXPECT_TRUE(bitIdentical(d_ref, d_fast));
 }
 
+/** The reference as it was before it became a threaded i-k-j loop: the
+ *  i-j-k triple loop on one thread, zero points subtracted in the inner
+ *  product. Kept as the oracle of the current one. */
+void
+ijkQuantizedGemm(double alpha, const Matrix<std::int8_t> &a,
+                 const Matrix<std::int8_t> &b, double beta,
+                 const Matrix<std::int8_t> &c, Matrix<std::int8_t> &d,
+                 const QuantParams &qp)
+{
+    const double eff = effectiveQuantScale(alpha, qp);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            std::int32_t acc = 0;
+            for (std::size_t kk = 0; kk < a.cols(); ++kk)
+                acc += (static_cast<std::int32_t>(a(i, kk)) - qp.zeroA) *
+                       (static_cast<std::int32_t>(b(kk, j)) - qp.zeroB);
+            d(i, j) = requantizeI8(acc, eff, beta, c(i, j), qp);
+        }
+    }
+}
+
+TEST(Int8Gemm, ThreadedIkjReferenceMatchesIjkLoop)
+{
+    // m = 1, 17 and 33 leave one, three and five row chunks, so thread
+    // counts 1/2/3/8 split them every way; zero points at both int8
+    // edges and k = 509 push the accumulators toward k * 255^2, and
+    // scaleD brings them back inside int8 so outputs do not saturate.
+    QuantParams low = testQuant();
+    low.zeroA = -128;
+    low.zeroB = 127;
+    low.zeroD = 127;
+    low.scaleD = 75.0f;
+    QuantParams high = low;
+    high.zeroA = 127;
+    high.zeroB = -128;
+    for (const QuantParams &qp : {testQuant(), low, high}) {
+        for (std::size_t m : {1, 17, 33}) {
+            const std::size_t n = 45, k = 509;
+            Rng rng(0x1c7 + m);
+            const auto a = randomI8(rng, m, k);
+            const auto b = randomI8(rng, k, n);
+            const auto c = randomI8(rng, m, n);
+            Matrix<std::int8_t> d_ijk(m, n);
+            ijkQuantizedGemm(0.75, a, b, 0.5, c, d_ijk, qp);
+            for (int threads : {1, 2, 3, 8}) {
+                Matrix<std::int8_t> d(m, n);
+                scalarQuantizedGemm(0.75, a, b, 0.5, c, d, qp, threads);
+                EXPECT_TRUE(bitIdentical(d_ijk, d))
+                    << "m=" << m << " threads=" << threads
+                    << " zeroA=" << qp.zeroA << " zeroB=" << qp.zeroB;
+            }
+        }
+    }
+}
+
 // ---- The requantizer ------------------------------------------------------
 
 /** Independent round-to-nearest-even + saturate oracle: spelled with

@@ -11,13 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "blas/fast_gemm.hh"
 #include "blas/functional.hh"
 #include "blas/level3.hh"
 #include "blas/simd_dispatch.hh"
+#include "blas/simd_kernels.hh"
 #include "common/random.hh"
 
 namespace mc {
@@ -192,6 +197,135 @@ TEST_P(SimdTierTest, SyrkMatchesScalarTier)
                 << " threads=" << threads;
         }
     }
+}
+
+std::uint32_t
+floatBits(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+float
+bitsToFloat(std::uint32_t u)
+{
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    return f;
+}
+
+/**
+ * The round-each-step chain at the kernel level, against the scalar
+ * tier's retained loop: column scenarios drive accumulators to +-Inf
+ * (past 65504), NaN (Inf - Inf; a NaN start, signaling or quiet with a
+ * payload), half subnormals and -0 (tiny negatives round to it), and
+ * panel widths 1, 15, 17, 63, 65 straddle every four-vector group,
+ * single-vector group and scalar tail. No product is ever NaN, so no
+ * add sees two NaNs whose payload choice could depend on operand order.
+ */
+TEST_P(SimdTierTest, RoundHalfChainSpecialValues)
+{
+    const SimdKernels &tier = simdKernels(GetParam());
+    const SimdKernels &scalar = simdKernels(SimdTier::Scalar);
+    constexpr std::size_t kNk = 24, kLdb = 72;
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(0xf16c);
+    std::vector<float> arow(kNk);
+    for (std::size_t kk = 0; kk < kNk; ++kk)
+        arow[kk] = (kk % 7 == 3 ? -1.0f : 1.0f) *
+                   (0.5f + 0.0625f * static_cast<float>(kk));
+    std::vector<float> bpanel(kNk * kLdb);
+    std::vector<float> start(kLdb);
+    for (std::size_t j = 0; j < kLdb; ++j) {
+        const std::size_t scenario = j % 6;
+        for (std::size_t kk = 0; kk < kNk; ++kk) {
+            const float sign_a = arow[kk] < 0.0f ? -1.0f : 1.0f;
+            const float r = static_cast<float>(rng.uniform(0.25, 1.0));
+            float v = 0.0f;
+            switch (scenario) {
+              case 0: // overflow to +Inf, then +Inf - Inf = NaN
+                v = sign_a * 4096.0f * r;
+                if (j % 12 == 0 && kk == kNk - 3)
+                    v = -sign_a * inf;
+                break;
+              case 1: // overflow to -Inf
+                v = -sign_a * 4096.0f * r;
+                break;
+              case 2: // half subnormals, both signs
+                v = static_cast<float>(rng.uniform(-3e-5, 3e-5));
+                break;
+              case 3: // tiny negatives: -0 + p rounds back to -0
+                v = -sign_a * 1e-9f * r;
+                break;
+              case 4: // a NaN start propagates
+                v = static_cast<float>(rng.uniform(-1.0, 1.0));
+                break;
+              default: // ordinary rounding, one Inf operand
+                v = static_cast<float>(rng.uniform(-1.0, 1.0));
+                if (j % 12 == 5 && kk == 4)
+                    v = inf;
+                break;
+            }
+            if (v == 0.0f)
+                v = 0.5f;
+            bpanel[kk * kLdb + j] = v;
+        }
+        const float starts[] = {60000.0f, -60000.0f, 0.0f, -0.0f,
+                                bitsToFloat(j % 12 == 4 ? 0x7fa00000u
+                                                        : 0xffd5a000u),
+                                bitsToFloat(0x00000001u)};
+        start[j] = starts[scenario];
+    }
+
+    bool saw_pinf = false, saw_ninf = false, saw_nan = false;
+    bool saw_subnormal = false, saw_negzero = false;
+    for (std::size_t nj : {1, 15, 17, 63, 65}) {
+        std::vector<float> want = start, got = start;
+        scalar.axpyRoundHalfF32(arow.data(), bpanel.data(), kLdb, kNk,
+                                want.data(), nj);
+        tier.axpyRoundHalfF32(arow.data(), bpanel.data(), kLdb, kNk,
+                              got.data(), nj);
+        EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                              kLdb * sizeof(float)),
+                  0)
+            << "tier=" << simdTierName(GetParam()) << " nj=" << nj;
+        for (std::size_t j = 0; j < nj; ++j) {
+            const float v = want[j];
+            saw_pinf |= v == inf;
+            saw_ninf |= v == -inf;
+            saw_nan |= v != v;
+            saw_subnormal |= v != 0.0f && std::fabs(v) < 6.103515625e-05f;
+            saw_negzero |= floatBits(v) == 0x80000000u;
+        }
+    }
+    // The scenarios above must actually reach every special class.
+    EXPECT_TRUE(saw_pinf && saw_ninf && saw_nan && saw_subnormal &&
+                saw_negzero);
+}
+
+/** One chain step from every binary16 value: acc + (-0) is exact, so
+ *  the step is the round trip alone, and the tier's widen must agree
+ *  with Half::toFloat on everything a narrow can produce. */
+TEST_P(SimdTierTest, RoundHalfChainKeepsEveryHalfValue)
+{
+    constexpr std::size_t kHalves = 1u << 16;
+    std::vector<float> start(kHalves), bpanel(kHalves, 0.0f);
+    for (std::size_t h = 0; h < kHalves; ++h)
+        start[h] = fp::Half::fromBits(static_cast<std::uint16_t>(h))
+                       .toFloat();
+    const float arow[] = {-0.0f};
+    std::vector<float> want = start, got = start;
+    simdKernels(SimdTier::Scalar)
+        .axpyRoundHalfF32(arow, bpanel.data(), kHalves, 1, want.data(),
+                          kHalves);
+    simdKernels(GetParam())
+        .axpyRoundHalfF32(arow, bpanel.data(), kHalves, 1, got.data(),
+                          kHalves);
+    for (std::size_t h = 0; h < kHalves; ++h)
+        ASSERT_EQ(floatBits(got[h]), floatBits(want[h]))
+            << "tier=" << simdTierName(GetParam()) << " h=0x" << std::hex
+            << h;
 }
 
 /** The tier knob must not leak into the retained scalar reference:

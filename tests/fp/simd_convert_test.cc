@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -21,6 +22,7 @@
 #include "blas/simd_dispatch.hh"
 #include "blas/simd_kernels.hh"
 #include "common/random.hh"
+#include "exec/thread_pool.hh"
 #include "fp/bfloat16.hh"
 #include "fp/convert.hh"
 #include "fp/half.hh"
@@ -238,6 +240,63 @@ TEST_P(SimdConvertTest, ShortAndUnalignedLengthsHitTheTailPath)
 INSTANTIATE_TEST_SUITE_P(
     AvailableTiers, SimdConvertTest,
     ::testing::ValuesIn(availableSimdTiers()),
+    [](const ::testing::TestParamInfo<SimdTier> &info) {
+        return std::string(simdTierName(info.param));
+    });
+
+/**
+ * The hardware f32 -> f16 narrowing forms the round-each-step chain
+ * uses (AVX-512F zmm on the avx512 tier, F16C ymm on the avx2 tier),
+ * reached through each tier's batched narrow, which runs the same
+ * convert: every one of the 2^32 f32 patterns must narrow to
+ * fp::Half's bits. Threaded, since the software side is ~4e9 calls.
+ */
+class HardwareHalfNarrowTest : public ::testing::TestWithParam<SimdTier>
+{
+};
+
+TEST_P(HardwareHalfNarrowTest, MatchesSoftwareOnAllF32Patterns)
+{
+    const SimdTier tier = GetParam();
+    if (!simdTierAvailable(tier))
+        GTEST_SKIP() << simdTierName(tier) << " is not available here";
+    const SimdKernels &hw = simdKernels(tier);
+    constexpr std::size_t kPatterns = std::size_t{1} << 32;
+    constexpr std::size_t kBlock = 4096;
+    std::atomic<std::uint64_t> mismatches{0};
+    std::atomic<std::uint64_t> first{kPatterns};
+    exec::parallelChunks(
+        kPatterns, std::size_t{1} << 24, 4,
+        [&](std::size_t begin, std::size_t end) {
+            std::vector<float> in(kBlock);
+            std::vector<std::uint16_t> got(kBlock), want(kBlock);
+            for (std::size_t base = begin; base < end; base += kBlock) {
+                for (std::size_t i = 0; i < kBlock; ++i)
+                    in[i] = bitsToFloat(static_cast<std::uint32_t>(base + i));
+                hw.narrowF32ToHalf(in.data(), got.data(), kBlock);
+                fp::narrowToHalfBits(in.data(), want.data(), kBlock);
+                if (std::memcmp(got.data(), want.data(),
+                                kBlock * sizeof(std::uint16_t)) == 0)
+                    continue;
+                for (std::size_t i = 0; i < kBlock; ++i) {
+                    if (got[i] == want[i])
+                        continue;
+                    mismatches.fetch_add(1, std::memory_order_relaxed);
+                    std::uint64_t seen = first.load();
+                    while (base + i < seen &&
+                           !first.compare_exchange_weak(seen, base + i)) {
+                    }
+                }
+            }
+        });
+    EXPECT_EQ(mismatches.load(), 0u)
+        << simdTierName(tier) << ": first differing f32 pattern 0x"
+        << std::hex << first.load();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HardwareForms, HardwareHalfNarrowTest,
+    ::testing::Values(SimdTier::Avx512, SimdTier::Avx2),
     [](const ::testing::TestParamInfo<SimdTier> &info) {
         return std::string(simdTierName(info.param));
     });

@@ -1056,6 +1056,7 @@ runPackBench(const CliParser &cli,
                    blas::simdTierName(blas::bestSimdTier()));
         JsonValue features = JsonValue::object();
         features.set("sse2", cpu.sse2);
+        features.set("f16c", cpu.f16c);
         features.set("avx2", cpu.avx2);
         features.set("avx512", cpu.avx512);
         features.set("avx512vnni", cpu.avx512vnni);
@@ -1390,6 +1391,7 @@ main(int argc, char **argv)
                static_cast<std::int64_t>(exec::ThreadPool::hardwareThreads()));
     JsonValue features = JsonValue::object();
     features.set("sse2", cpu.sse2);
+    features.set("f16c", cpu.f16c);
     features.set("avx2", cpu.avx2);
     features.set("avx512", cpu.avx512);
     features.set("avx512vnni", cpu.avx512vnni);
